@@ -37,10 +37,11 @@ type BatchResult struct {
 //     would answer them from the result cache). The dedup is a planning
 //     decision, not a race: it holds at any timing, unlike singleflight
 //     coalescing. EngineStats.PlannedDedups counts the copies.
-//  2. The remaining members are grouped by instance key — the (dataset,
-//     skyline-eligibility, seed, sample size, exactness, cache budget)
-//     tuple that determines which preprocessing artifacts they share.
-//     EngineStats.PlanGroups counts the groups.
+//  2. The remaining members are grouped by InstanceKey — the (dataset,
+//     skyline eligibility, seed, sample size, exactness, cache budget,
+//     coreset ε, float32) fields of the artifact key that determine
+//     which preprocessing artifacts they share. EngineStats.PlanGroups
+//     counts the groups.
 //  3. Each group runs its representative first, filling the shared
 //     preprocessing (skyline index, sampled functions, built instance),
 //     then releases the rest of the group concurrently onto the warm
@@ -128,7 +129,7 @@ func (e *Engine) SelectBatch(ctx context.Context, queries []Query, exec Exec) ([
 		// Every member span shares the batch's collector — and so its
 		// TraceID. The representative carries the plan-group key in its
 		// context, so the prep fills it triggers are attributable to the
-		// group (their spans gain a group attr via fillSpan).
+		// group (their spans gain a group attr via fetch).
 		mctx, mspan := obs.Start(ctx, "member")
 		mspan.SetAttrInt("index", i)
 		if groupKey != "" {
@@ -241,15 +242,17 @@ func (e *Engine) planKey(q Query, i int) string {
 }
 
 // InstanceKey returns the preprocessing-sharing identity of q: the
-// (dataset, skyline-eligibility, seed, sample size, exactness, cache
-// budget) tuple that determines which cached preprocessing artifacts —
-// skyline index, sampled functions, built instance — the query reuses.
-// It is the batch planner's grouping key, and the key the serve layer
-// echoes as X-Fam-Instance-Key so a cluster router can learn which
-// replica's prep cache is warm for which queries. Equal Fingerprints
-// imply equal InstanceKeys, never the reverse: a k-sweep over one
-// dataset shares a single instance key across distinct fingerprints.
-// Returns "" for a query that does not resolve against the registry.
+// artifact key fields known before anything is built — dataset, skyline
+// eligibility, seed, sample size N, exactness, cache budget, and (when
+// set) coreset ε and float32 storage — which determine the cached
+// preprocessing artifacts (skyline index, sampled functions, coreset,
+// built instance) the query reuses. It is the batch planner's grouping
+// key, and the key the serve layer echoes as X-Fam-Instance-Key so a
+// cluster router can learn which replica's prep cache is warm for which
+// queries. Equal Fingerprints imply equal InstanceKeys, never the
+// reverse: a k-sweep over one dataset shares a single instance key
+// across distinct fingerprints. Returns "" for a query that does not
+// resolve against the registry.
 func (e *Engine) InstanceKey(q Query) string {
 	reg, err := e.resolve(q)
 	if err != nil {
@@ -259,18 +262,12 @@ func (e *Engine) InstanceKey(q Query) string {
 	if err != nil {
 		return ""
 	}
-	key := fmt.Sprintf("%s|sky=%t|seed=%d|N=%d|exact=%t|budget=%d",
-		reg.name, norm.useSkyline, q.Seed, norm.sampleSize, norm.discrete != nil,
-		effectiveBudget(q.CacheBudget))
-	// Like the Fingerprint, opt-in knobs that change which instance is
-	// built append conditionally so established keys stay byte-stable.
+	key := newArtifactKey(kindShare, reg.name, q, norm)
+	key.sky = norm.useSkyline
 	if norm.useCoreset {
-		key += fmt.Sprintf("|cs=%g", norm.coresetEps)
+		key.eps = norm.coresetEps
 	}
-	if q.Float32 {
-		key += "|f32"
-	}
-	return key
+	return key.String()
 }
 
 // copySlot answers a planned duplicate from its leader's slot. A
@@ -326,6 +323,7 @@ func (e *Engine) member(ctx context.Context, q Query, exec Exec) BatchResult {
 		Metrics:     m,
 		ExactARR:    -1,
 		SkylineSize: reg.ds.N(), // evaluation preprocessing never restricts
+		CoresetSize: -1,
 	}
 	res.Labels = make([]string, len(res.Indices))
 	for i, idx := range res.Indices {

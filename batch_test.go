@@ -132,6 +132,10 @@ func TestEngineSelectBatchMatchesLoop(t *testing.T) {
 				if slot.Result.Metrics.ARR != wantRes[i].Metrics.ARR {
 					t.Fatalf("%s: eval ARR %v, want %v", label, slot.Result.Metrics.ARR, wantRes[i].Metrics.ARR)
 				}
+				// No coreset prepass ran: −1, as Engine.Select reports it.
+				if slot.Result.CoresetSize != -1 {
+					t.Fatalf("%s: eval CoresetSize %d, want -1", label, slot.Result.CoresetSize)
+				}
 				continue
 			}
 			if len(slot.Result.Indices) != len(wantRes[i].Indices) {

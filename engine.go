@@ -5,18 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/regretlab/fam/internal/core"
-	"github.com/regretlab/fam/internal/coreset"
 	ecache "github.com/regretlab/fam/internal/engine"
 	"github.com/regretlab/fam/internal/obs"
 	"github.com/regretlab/fam/internal/par"
 	"github.com/regretlab/fam/internal/sched"
-	"github.com/regretlab/fam/internal/skyline"
 	"github.com/regretlab/fam/internal/utility"
 )
 
@@ -37,7 +34,10 @@ import (
 //
 // Determinism: an Engine-served Result is bit-identical to a fresh
 // one-shot Select with the same Query at any concurrency — same Indices,
-// Labels, Metrics, ExactARR, and SkylineSize. Only the Telemetry differs
+// Labels, Metrics, ExactARR, SkylineSize, and CoresetSize. Both run the
+// same preprocessing pipeline (prepare), the Engine through its prep
+// cache and Select through a call-local memo, so their preprocessing is
+// identical by construction. Only the Telemetry differs
 // (cached work is not re-done; a result-cache hit reports its own near-
 // zero execution and carries the filling execution's Telemetry under
 // Telemetry.Replay) and Result.Cached marks answers served from the
@@ -320,7 +320,7 @@ func (e *Engine) Select(ctx context.Context, q Query, exec Exec) (*Result, *Tele
 		fillCtx, fill := obs.Start(fillCtx, "fill.result")
 		defer fill.End()
 		prepStart := time.Now()
-		prep, err := e.prepare(fillCtx, reg, q, norm, exec)
+		prep, err := prepare(fillCtx, e.prep, reg, q, norm, Exec{pool: e.pool}, exec)
 		if err != nil {
 			return nil, err
 		}
@@ -421,7 +421,7 @@ func (e *Engine) evaluate(ctx context.Context, q Query, exec Exec) (Metrics, *re
 	defer cancel()
 	e.evaluates.Add(1)
 	prepStart := time.Now()
-	prep, err := e.prepare(ctx, reg, q, norm, exec)
+	prep, err := prepare(ctx, e.prep, reg, q, norm, Exec{pool: e.pool}, exec)
 	if err != nil {
 		return Metrics{}, nil, nil, err
 	}
@@ -438,111 +438,6 @@ func (e *Engine) evaluate(ctx context.Context, q Query, exec Exec) (Metrics, *re
 	span.End()
 	tel.Trace = traceOf(span)
 	return m, reg, tel, nil
-}
-
-// prepare assembles the prepared state for one query from the
-// preprocessing cache, filling missing artifacts exactly once each:
-//
-//	sky|<dataset>                      the skyline index
-//	funcs|<dataset>|<seed>|<N>         the sampled utility functions
-//	coreset|<dataset>|<class>|…        the ε-kernel survivor index
-//	                                   (Coreset queries only)
-//	inst|<dataset>|<class>|…           the built instance (utility
-//	                                   matrix + best-point index)
-//
-// The returned prepared carries a zero-copy clone of the cached instance
-// with this query's Exec and the shared pool.
-func (e *Engine) prepare(ctx context.Context, reg *registration, q Query, norm normalized, exec Exec) (*prepared, error) {
-	ctx, span := obs.Start(ctx, "prepare")
-	defer span.End()
-	candidates, class, err := e.candidates(ctx, reg, q, norm)
-	if err != nil {
-		return nil, err
-	}
-	skySize := len(candidates)
-	csSize := -1
-	if norm.useCoreset {
-		cs, err := e.coreset(ctx, reg, q, norm, candidates, class)
-		if err != nil {
-			return nil, err
-		}
-		// Same guard as the one-shot path: pruning below K keeps the
-		// unpruned candidates, and the class only gains the coreset
-		// component when the pruning actually applied.
-		if len(cs) > q.K {
-			candidates = cs
-			class = fmt.Sprintf("%s+cs%g", class, norm.coresetEps)
-		}
-		csSize = len(candidates)
-	}
-	instKey := fmt.Sprintf("inst|%s|%s|seed=%d|N=%d|exact=%t|budget=%d",
-		reg.name, class, q.Seed, norm.sampleSize, norm.discrete != nil, effectiveBudget(q.CacheBudget))
-	if q.Float32 {
-		instKey += "|f32"
-	}
-	v, _, err := e.prep.Do(ctx, instKey, func(fillCtx context.Context) (any, error) {
-		fillCtx, fill := e.fillSpan(fillCtx, instKey)
-		defer fill.End()
-		funcs, weights, err := e.funcs(fillCtx, reg, q, norm)
-		if err != nil {
-			return nil, err
-		}
-		// Shared artifacts are built at full pool width regardless of the
-		// triggering request's Exec: the first requester's knob must not
-		// throttle a dataset-wide build that every coalesced and future
-		// query shares. Preprocessing output is bit-identical at any
-		// width, and per-query execution settings are applied to the
-		// clone below, so this affects fill latency only.
-		prep, err := assemble(fillCtx, reg.ds, candidates, funcs, weights, q, Exec{pool: e.pool})
-		markShared(fillCtx, fill)
-		return prep, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	master := v.(*prepared)
-	return &prepared{
-		candidates:  master.candidates,
-		funcs:       master.funcs,
-		weights:     master.weights,
-		in:          master.in.WithExecution(exec.Parallelism, exec.LazyBatch, e.pool, exec.fillAttrs()),
-		skylineSize: skySize,
-		coresetSize: csSize,
-	}, nil
-}
-
-// coreset resolves the ε-kernel survivor index for the query's candidate
-// class from the prep cache. Like the skyline it is a shared artifact:
-// built once per (dataset, class, seed, N, exact, eps) at full pool
-// width under attr-neutral scheduling, exactly sized in the cache as a
-// plain []int, and traced as a "fill.coreset" span.
-func (e *Engine) coreset(ctx context.Context, reg *registration, q Query, norm normalized, candidates []int, class string) ([]int, error) {
-	key := fmt.Sprintf("coreset|%s|%s|seed=%d|N=%d|exact=%t|eps=%g",
-		reg.name, class, q.Seed, norm.sampleSize, norm.discrete != nil, norm.coresetEps)
-	v, _, err := e.prep.Do(ctx, key, func(fillCtx context.Context) (any, error) {
-		fillCtx = sched.NewContext(fillCtx, sched.Attrs{})
-		fillCtx, fill := e.fillSpan(fillCtx, key)
-		defer fill.End()
-		funcs, _, err := e.funcs(fillCtx, reg, q, norm)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := coreset.Filter(fillCtx, reg.ds.Points, candidates, funcs, coreset.Options{
-			Eps:  norm.coresetEps,
-			Pool: e.pool,
-		})
-		if err != nil {
-			return nil, err
-		}
-		fill.SetAttrInt("in", len(candidates))
-		fill.SetAttrInt("out", len(cs))
-		markShared(fillCtx, fill)
-		return cs, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]int), nil
 }
 
 // QueueDepth reports the number of helper requests currently queued on
@@ -562,23 +457,6 @@ func (e *Engine) admit(exec Exec) error {
 	return nil
 }
 
-// fillSpan opens the span of one singleflight prep fill, named after
-// the artifact kind ("fill.sky", "fill.funcs", "fill.inst") and
-// annotated with the cache key — plus the plan-group key when the fill
-// was triggered by a batch group's representative.
-func (e *Engine) fillSpan(fillCtx context.Context, key string) (context.Context, *obs.Span) {
-	name := "fill"
-	if i := strings.IndexByte(key, '|'); i > 0 {
-		name = "fill." + key[:i]
-	}
-	fillCtx, span := obs.Start(fillCtx, name)
-	span.SetAttr("key", key)
-	if g := planGroupKeyFrom(fillCtx); g != "" {
-		span.SetAttr("group", g)
-	}
-	return fillCtx, span
-}
-
 // admitTraced is admit with the decision recorded as an "admit" span
 // (shed=true when the query was rejected), so a trace shows where a
 // 429 came from.
@@ -588,71 +466,6 @@ func (e *Engine) admitTraced(ctx context.Context, exec Exec) error {
 	span.SetAttrBool("shed", err != nil)
 	span.End()
 	return err
-}
-
-// candidates resolves the query's candidate set: the cached skyline when
-// the skyline restriction applies and is larger than K, the full dataset
-// otherwise. class names the variant for the instance cache key.
-func (e *Engine) candidates(ctx context.Context, reg *registration, q Query, norm normalized) ([]int, string, error) {
-	if !norm.useSkyline {
-		return identity(reg.ds.N()), "full", nil
-	}
-	// Workers 0 (full width): see the instance fill — shared builds do
-	// not inherit one request's Exec. Likewise attr-neutral scheduling:
-	// a dataset-wide artifact is not one request's work, so its fan-outs
-	// run at the normal class with no deadline.
-	v, _, err := e.prep.Do(ctx, "sky|"+reg.name, func(fillCtx context.Context) (any, error) {
-		fillCtx = sched.NewContext(fillCtx, sched.Attrs{})
-		fillCtx, fill := e.fillSpan(fillCtx, "sky|"+reg.name)
-		defer fill.End()
-		sky, err := skyline.ComputeOpts(fillCtx, reg.ds.Points, skyline.ComputeOptions{Pool: e.pool})
-		markShared(fillCtx, fill)
-		return sky, err
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	sky := v.([]int)
-	if len(sky) > q.K {
-		return sky, "sky", nil
-	}
-	return identity(reg.ds.N()), "full", nil
-}
-
-// funcs returns the sampled utility functions for (dataset, seed, N)
-// from the cache. Exact-discrete distributions carry their own support —
-// nothing to build, nothing to cache.
-func (e *Engine) funcs(ctx context.Context, reg *registration, q Query, norm normalized) ([]UtilityFunc, []float64, error) {
-	if norm.discrete != nil {
-		return norm.discrete.Funcs, norm.discrete.Probs, nil
-	}
-	key := fmt.Sprintf("funcs|%s|seed=%d|N=%d", reg.name, q.Seed, norm.sampleSize)
-	v, _, err := e.prep.Do(ctx, key, func(fillCtx context.Context) (any, error) {
-		fillCtx, fill := e.fillSpan(fillCtx, key)
-		defer fill.End()
-		funcs, _, err := buildFuncs(fillCtx, reg.dist, norm, q.Seed)
-		if err != nil {
-			return nil, err
-		}
-		markShared(fillCtx, fill)
-		return funcs, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.([]UtilityFunc), nil, nil
-}
-
-// effectiveBudget normalizes CacheBudget for cache keys: zero means the
-// default, every negative value means "disabled".
-func effectiveBudget(budget int64) int64 {
-	if budget == 0 {
-		return core.DefaultCacheBudget
-	}
-	if budget < 0 {
-		return -1
-	}
-	return budget
 }
 
 // copyResult returns a deep copy so cache-stored results can never be

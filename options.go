@@ -124,6 +124,10 @@ func deriveQuery(ds *Dataset, dist Distribution, q Query, needK bool) (normalize
 	return norm, nil
 }
 
+// SampleSize exposes Theorem 4's bound: the number of sampled utility
+// functions needed for error eps at confidence 1-sigma.
+func SampleSize(eps, sigma float64) (int, error) { return sampling.SampleSize(eps, sigma) }
+
 // resolveSampleSize applies Theorem 4's bound to the sampling fields: an
 // explicit positive sampleSize wins, otherwise N = ceil(3·ln(1/σ)/ε²)
 // with both parameters defaulting to 0.1 (N = 691).

@@ -314,6 +314,21 @@ type Telemetry struct {
 	Trace *TraceSpan
 }
 
+// datasetName is the name a query's artifacts and fingerprint carry:
+// Dataset, or the inline dataset's own Name when Dataset is empty.
+func (q Query) datasetName() string {
+	if q.Dataset == "" && q.Data != nil {
+		return q.Data.Name
+	}
+	return q.Dataset
+}
+
+// source binds a one-shot query's inline data the way Register binds a
+// named dataset, so both entry points run the same prepare.
+func (q Query) source() *registration {
+	return &registration{name: q.datasetName(), ds: q.Data, dist: q.Dist}
+}
+
 // Fingerprint returns the canonical cache identity of the query: a
 // stable string over the semantic fields only, with the sampling
 // parameters resolved (Epsilon/Sigma folded into the effective sample
@@ -331,10 +346,7 @@ type Telemetry struct {
 // queries whose sampling parameters are invalid or whose Algorithm is
 // unknown.
 func (q Query) Fingerprint() (string, error) {
-	name := q.Dataset
-	if name == "" && q.Data != nil {
-		name = q.Data.Name
-	}
+	name := q.datasetName()
 	sampleSize := 0
 	if !q.ExactDiscrete {
 		n, err := resolveSampleSize(q.Epsilon, q.Sigma, q.SampleSize)

@@ -264,6 +264,11 @@ func TestServeBatchSelect(t *testing.T) {
 	if evalSlot.Error != "" || len(evalSlot.Indices) != 3 || evalSlot.Metrics.ARR < 0 {
 		t.Fatalf("evaluation member: %+v", evalSlot)
 	}
+	// The coreset prepass never runs for evaluations: the slot omits
+	// coreset_size rather than reporting a zero-candidate coreset.
+	if evalSlot.CoresetSize != nil {
+		t.Fatalf("evaluation member reports coreset_size %d, want it omitted", *evalSlot.CoresetSize)
+	}
 	bad := resp.Results[4]
 	if bad.Error == "" || bad.Status != http.StatusNotFound || bad.SelectResponse != nil {
 		t.Fatalf("failing member: %+v", bad)

@@ -206,3 +206,62 @@ func BenchmarkEngineTraceOverhead(b *testing.B) {
 		}
 	})
 }
+
+// One-shot Select runs the Engine's preprocessing pipeline through a
+// call-local store: its prepare subtree — span names, nesting, and key
+// attributes — equals a cold Engine's for the same query and dataset
+// name, and the sampled functions are built once although both the
+// coreset fill and the instance fill need them.
+func TestOneShotPrepareTraceMatchesEngine(t *testing.T) {
+	ctx := context.Background()
+	hotels := engineFixtures(t)[0]
+	q := Query{Dataset: hotels.name, K: 5, Seed: 9, SampleSize: 120, Coreset: true}
+	e := newTestEngine(t, []engineFixture{hotels})
+	_, etel, err := e.Select(TraceContext(ctx, ""), q, Exec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := q
+	one.Data, one.Dist = hotels.ds, hotels.dist
+	_, otel, err := Select(TraceContext(ctx, ""), one, Exec{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enginePrep, onePrep := findSpan(etel.Trace, "prepare"), findSpan(otel.Trace, "prepare")
+	if enginePrep == nil || onePrep == nil {
+		t.Fatalf("missing prepare span: engine %v, one-shot %v", enginePrep, onePrep)
+	}
+	if got, want := onePrep.Shape(), enginePrep.Shape(); got != want {
+		t.Fatalf("one-shot prepare differs from the engine's:\n-- one-shot --\n%s-- engine --\n%s", got, want)
+	}
+	for _, name := range []string{"fill.sky", "fill.coreset", "fill.funcs", "buildFuncs", "fill.inst"} {
+		if n := countSpans(onePrep, name); n != 1 {
+			t.Fatalf("one-shot prepare has %d %s spans, want 1:\n%s", n, name, onePrep.Shape())
+		}
+	}
+}
+
+// findSpan returns the first span named name in a depth-first walk.
+func findSpan(s *TraceSpan, name string) *TraceSpan {
+	if s == nil || s.Name == name {
+		return s
+	}
+	for _, ch := range s.Children {
+		if f := findSpan(ch, name); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
+// countSpans counts the spans named name in the subtree rooted at s.
+func countSpans(s *TraceSpan, name string) int {
+	n := 0
+	if s.Name == name {
+		n++
+	}
+	for _, ch := range s.Children {
+		n += countSpans(ch, name)
+	}
+	return n
+}
