@@ -48,6 +48,7 @@ import (
 
 	fam "github.com/regretlab/fam"
 	"github.com/regretlab/fam/internal/load"
+	"github.com/regretlab/fam/internal/prom"
 )
 
 func main() {
@@ -312,7 +313,7 @@ func fetchMetrics(ctx context.Context, baseURL string) (fam.EngineStats, error) 
 	if resp.StatusCode != http.StatusOK {
 		return fam.EngineStats{}, fmt.Errorf("metrics status %d", resp.StatusCode)
 	}
-	samples, err := load.ParseMetrics(resp.Body)
+	samples, err := prom.Parse(resp.Body)
 	if err != nil {
 		return fam.EngineStats{}, err
 	}

@@ -116,11 +116,9 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		pattern = "(unmatched)"
 	}
 	ctx := r.Context()
-	if traceID, remoteSpan, armed := inboundTrace(r); armed {
+	if traceID, remoteSpan, armed := obs.Inbound(r.Header.Get(serve.HeaderTraceparent), r.Header.Get(serve.HeaderTrace)); armed {
 		col := obs.NewCollector(traceID)
-		if remoteSpan != "" {
-			col.SetRemoteParent(remoteSpan)
-		}
+		col.SetRemoteParent(remoteSpan)
 		ctx = obs.NewCollectorContext(ctx, col)
 		var root *obs.Span
 		ctx, root = obs.Start(ctx, "router "+pattern)
@@ -128,28 +126,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(serve.HeaderTrace, col.TraceID())
 		w.Header().Set(serve.HeaderTraceparent, obs.FormatTraceparent(col.TraceID(), root.SpanID))
 	}
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	begin := rt.clock()
-	rt.mux.ServeHTTP(rec, r.WithContext(ctx))
-	rt.metrics.record(pattern, rec.status, rt.clock().Sub(begin).Seconds())
-}
-
-// inboundTrace mirrors the replica's header contract: X-Fam-Trace
-// wins the trace ID, a malformed traceparent is ignored rather than
-// failing the request.
-func inboundTrace(r *http.Request) (traceID, remoteSpan string, armed bool) {
-	if v := r.Header.Get(serve.HeaderTraceparent); v != "" {
-		if t, s, ok := obs.ParseTraceparent(v); ok {
-			traceID, remoteSpan, armed = t, s, true
-		}
-	}
-	if v := r.Header.Get(serve.HeaderTrace); v != "" {
-		armed = true
-		if obs.ValidTraceID(v) {
-			traceID = v
-		}
-	}
-	return traceID, remoteSpan, armed
+	rt.metrics.requests.Serve(pattern, rt.clock, rt.mux, w, r.WithContext(ctx))
 }
 
 // routeFields are the request-body fields that determine a query's

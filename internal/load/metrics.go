@@ -1,48 +1,10 @@
 package load
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"strconv"
 	"strings"
 
 	fam "github.com/regretlab/fam"
 )
-
-// ParseMetrics reads a Prometheus text exposition (version 0.0.4) into
-// a flat sample map keyed by `name{labels}` exactly as written (no
-// label reordering), e.g.
-//
-//	m[`fam_sched_granted_total{class="low"}`] = 42
-//
-// Comment (#) and blank lines are skipped; a malformed sample line is
-// an error. The parser covers what famserve emits — it is the scrape
-// half of famload's /metrics probe, not a general Prometheus client.
-func ParseMetrics(r io.Reader) (map[string]float64, error) {
-	samples := map[string]float64{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		cut := strings.LastIndexByte(line, ' ')
-		if cut <= 0 {
-			return nil, fmt.Errorf("malformed metrics line %q", line)
-		}
-		value, err := strconv.ParseFloat(line[cut+1:], 64)
-		if err != nil {
-			return nil, fmt.Errorf("malformed metrics value in %q: %w", line, err)
-		}
-		samples[strings.TrimSpace(line[:cut])] = value
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return samples, nil
-}
 
 // classOf extracts the class label value from a per-class series key
 // like `fam_sched_granted_total{class="low"}`.
@@ -61,9 +23,9 @@ func classOf(key string) (string, bool) {
 }
 
 // EngineStatsFromMetrics reconstructs the EngineStats fields the
-// report's cache/sched delta views need from one /metrics scrape —
-// famload's HTTP-mode stats probe. Series famload does not report on
-// are left at zero.
+// report's cache/sched delta views need from one /metrics scrape as
+// read by prom.Parse — famload's HTTP-mode stats probe. Series
+// famload does not report on are left at zero.
 func EngineStatsFromMetrics(m map[string]float64) fam.EngineStats {
 	var s fam.EngineStats
 	s.PrepCache.Hits = uint64(m[`fam_cache_hits_total{cache="prep"}`])

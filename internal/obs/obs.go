@@ -514,6 +514,28 @@ func ParseTraceparent(v string) (traceID, spanID string, ok bool) {
 	return parts[1], parts[2], true
 }
 
+// Inbound resolves a request's tracing intent from its two tracing
+// header values: the W3C traceparent and the bare 32-hex X-Fam-Trace.
+// Either non-empty header arms tracing. X-Fam-Trace wins the trace ID
+// when both carry one; a valid traceparent also yields the remote
+// parent span. A malformed traceparent is ignored, and a non-hex
+// X-Fam-Trace arms under a fresh ID, rather than failing the request —
+// tracing must never break serving.
+func Inbound(traceparent, famTrace string) (traceID, remoteSpan string, armed bool) {
+	if traceparent != "" {
+		if t, s, ok := ParseTraceparent(traceparent); ok {
+			traceID, remoteSpan, armed = t, s, true
+		}
+	}
+	if famTrace != "" {
+		armed = true
+		if ValidTraceID(famTrace) {
+			traceID = famTrace
+		}
+	}
+	return traceID, remoteSpan, armed
+}
+
 // FormatTraceparent renders a version-00 traceparent value with the
 // sampled flag set — what the serve layer echoes (and what a router
 // would forward downstream).

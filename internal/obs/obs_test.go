@@ -202,6 +202,39 @@ func TestObsTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInbound: the two tracing headers resolve to (trace ID, remote
+// parent, armed) — X-Fam-Trace wins the trace ID, a valid traceparent
+// supplies the remote parent, and malformed values arm without failing.
+func TestInbound(t *testing.T) {
+	const (
+		tpTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
+		tpSpan  = "00f067aa0ba902b7"
+		famID   = "0123456789abcdef0123456789abcdef"
+	)
+	tp := FormatTraceparent(tpTrace, tpSpan)
+	cases := []struct {
+		name, traceparent, famTrace string
+		traceID, remoteSpan         string
+		armed                       bool
+	}{
+		{"none", "", "", "", "", false},
+		{"both", tp, famID, famID, tpSpan, true},
+		{"traceparent only", tp, "", tpTrace, tpSpan, true},
+		{"x-fam-trace only", "", famID, famID, "", true},
+		{"malformed traceparent", "00-zz-b7-01", "", "", "", false},
+		{"malformed traceparent with x-fam-trace", "00-zz-b7-01", famID, famID, "", true},
+		{"non-hex x-fam-trace", "", "yes please", "", "", true},
+		{"non-hex x-fam-trace with traceparent", tp, "yes please", tpTrace, tpSpan, true},
+	}
+	for _, c := range cases {
+		traceID, remoteSpan, armed := Inbound(c.traceparent, c.famTrace)
+		if traceID != c.traceID || remoteSpan != c.remoteSpan || armed != c.armed {
+			t.Errorf("%s: Inbound(%q, %q) = (%q, %q, %t), want (%q, %q, %t)", c.name, c.traceparent, c.famTrace,
+				traceID, remoteSpan, armed, c.traceID, c.remoteSpan, c.armed)
+		}
+	}
+}
+
 func TestObsJSONTree(t *testing.T) {
 	col := NewCollector("")
 	ctx := NewCollectorContext(context.Background(), col)

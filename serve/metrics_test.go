@@ -1,15 +1,20 @@
 package serve
 
 import (
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	fam "github.com/regretlab/fam"
-	"github.com/regretlab/fam/internal/load"
+	"github.com/regretlab/fam/internal/prom"
 )
 
 // scrapeMetrics fetches and parses GET /metrics.
@@ -26,7 +31,7 @@ func scrapeMetrics(t *testing.T, baseURL string) map[string]float64 {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("/metrics content type %q", ct)
 	}
-	samples, err := load.ParseMetrics(resp.Body)
+	samples, err := prom.Parse(resp.Body)
 	if err != nil {
 		t.Fatalf("parsing exposition: %v", err)
 	}
@@ -178,5 +183,120 @@ func TestMetricsRecordsErrorStatuses(t *testing.T) {
 	m := scrapeMetrics(t, srv.URL)
 	if got := m[`fam_http_requests_total{code="404",endpoint="POST /v1/select"}`]; got != 1 {
 		t.Fatalf("404 counter = %v, want 1", got)
+	}
+}
+
+var updateMetricsGolden = flag.Bool("update-metrics-golden", false,
+	"rewrite testdata/metrics.golden from the current /metrics exposition")
+
+// steppedClock is a deterministic handler clock: every call advances
+// it by the current step, so a sequential request's measured duration
+// is a fixed multiple of the step the test set for it.
+type steppedClock struct {
+	mu   sync.Mutex
+	now  time.Time
+	step time.Duration
+}
+
+func (c *steppedClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(c.step)
+	return c.now
+}
+
+func (c *steppedClock) setStep(d time.Duration) {
+	c.mu.Lock()
+	c.step = d
+	c.mu.Unlock()
+}
+
+// maskUnpinnable replaces the exposition values no test can pin — Go
+// runtime gauges, the engine uptime, and the toolchain version label —
+// with a fixed marker; every other byte of the body is compared.
+func maskUnpinnable(body string) string {
+	lines := strings.Split(body, "\n")
+	for i, line := range lines {
+		if strings.HasPrefix(line, "fam_go_") || strings.HasPrefix(line, "fam_engine_uptime_seconds ") {
+			lines[i] = line[:strings.LastIndexByte(line, ' ')] + " <masked>"
+		}
+		if j := strings.Index(line, `go_version="`); j >= 0 {
+			end := j + len(`go_version="`) + strings.IndexByte(line[j+len(`go_version="`):], '"')
+			lines[i] = line[:j] + `go_version="<masked>"` + line[end+1:]
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestMetricsExpositionGolden pins the full /metrics body byte for
+// byte after a fixed request sequence under a stepped clock: every
+// family's HELP/TYPE header, label rendering and order, bucket bounds,
+// error statuses, the unmatched route, and the histogram sums.
+// `go test -run MetricsExpositionGolden -update-metrics-golden ./serve`
+// regenerates it after an intentional exposition change.
+func TestMetricsExpositionGolden(t *testing.T) {
+	// One P keeps every fan-out inline: no helper ticket is queued, so
+	// the scheduler's grant/stale split and wall-clock queue wait (which
+	// race the caller) stay at zero.
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	engine := fam.NewEngine(fam.EngineConfig{Workers: 1})
+	t.Cleanup(engine.Close)
+	ds, err := fam.Hotels(120, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := fam.UniformLinear(ds.Dim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := engine.Register("hotels", ds, dist); err != nil {
+		t.Fatal(err)
+	}
+	clock := &steppedClock{now: time.Unix(1_700_000_000, 0)}
+	h := NewHandlerConfig(engine, HandlerConfig{Clock: clock.Now})
+
+	selectBody := `{"dataset":"hotels","k":3,"seed":7,"sample_size":100}`
+	steps := []struct {
+		method, target, body string
+		step                 time.Duration
+		want                 int
+	}{
+		{"GET", "/v1/datasets", "", 500 * time.Microsecond, 200},
+		{"POST", "/v1/select", selectBody, 2 * time.Millisecond, 200},
+		{"POST", "/v1/select", selectBody, 100 * time.Millisecond, 200},
+		{"POST", "/v1/select", `{"dataset":"missing","k":3}`, time.Millisecond, 404},
+		{"POST", "/v2/select", `{"queries":[{"dataset":"hotels","k":2,"seed":7,"sample_size":100},{"dataset":"hotels","k":3,"seed":7,"sample_size":100}]}`, 1500 * time.Millisecond, 200},
+		{"POST", "/v1/evaluate", `{"dataset":"hotels","set":[0,1,2],"sample_size":100}`, 30 * time.Second, 200},
+		{"GET", "/nope", "", 3 * time.Millisecond, 404},
+		{"POST", "/v1/datasets?name=mine", "label,a,b\np1,0.1,0.9\np2,0.9,0.1\np3,0.5,0.6\n", 10 * time.Millisecond, 201},
+	}
+	for _, s := range steps {
+		clock.setStep(s.step)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(s.method, s.target, strings.NewReader(s.body)))
+		if rec.Code != s.want {
+			t.Fatalf("%s %s = %d, want %d: %s", s.method, s.target, rec.Code, s.want, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Fatalf("/metrics content type %q", ct)
+	}
+	got := maskUnpinnable(rec.Body.String())
+
+	path := filepath.Join("testdata", "metrics.golden")
+	if *updateMetricsGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-metrics-golden to generate)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("/metrics drifted from golden:\n-- got --\n%s\n-- want --\n%s", got, want)
 	}
 }

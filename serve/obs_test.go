@@ -8,12 +8,50 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	fam "github.com/regretlab/fam"
 	"github.com/regretlab/fam/internal/obs"
 )
+
+// waitWriter is a concurrency-safe log destination a test can wait on.
+type waitWriter struct {
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	wrote chan struct{} // capacity 1: a pending wakeup covers any number of writes
+}
+
+func (w *waitWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	select {
+	case w.wrote <- struct{}{}:
+	default:
+	}
+	return w.buf.Write(p)
+}
+
+// waitFor returns the written content once it holds at least n
+// occurrences of marker, or what it holds after five seconds.
+func (w *waitWriter) waitFor(t *testing.T, marker string, n int) string {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+	for {
+		w.mu.Lock()
+		content := w.buf.String()
+		w.mu.Unlock()
+		if strings.Count(content, marker) >= n {
+			return content
+		}
+		select {
+		case <-w.wrote:
+		case <-timeout:
+			return content
+		}
+	}
+}
 
 // newObsServer builds a test server over the hotels fixture with the
 // given observability config.
@@ -213,8 +251,8 @@ func TestServeSlowQueryCapture(t *testing.T) {
 // Every served request writes one structured log line, and a failed v2
 // request's envelope carries the same request_id the log line does.
 func TestServeSlogRequestLine(t *testing.T) {
-	var logBuf bytes.Buffer
-	srv := newObsServer(t, HandlerConfig{Log: slog.New(slog.NewJSONHandler(&logBuf, nil))})
+	logSink := &waitWriter{wrote: make(chan struct{}, 1)}
+	srv := newObsServer(t, HandlerConfig{Log: slog.New(slog.NewJSONHandler(logSink, nil))})
 
 	var ok BatchSelectResponse
 	if code := postJSON(t, srv.URL+"/v2/select", batchBody(), &ok); code != http.StatusOK {
@@ -241,8 +279,11 @@ func TestServeSlogRequestLine(t *testing.T) {
 		Status    int     `json:"status"`
 		DurMS     float64 `json:"dur_ms"`
 	}
+	// A request's log line is written after its handler returns, which
+	// can be after the client has read the whole body: wait for both.
+	logBuf := logSink.waitFor(t, `"msg":"request"`, 2)
 	var lines []reqLine
-	sc := bufio.NewScanner(bytes.NewReader(logBuf.Bytes()))
+	sc := bufio.NewScanner(strings.NewReader(logBuf))
 	for sc.Scan() {
 		var l reqLine
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
@@ -253,9 +294,13 @@ func TestServeSlogRequestLine(t *testing.T) {
 		}
 	}
 	if len(lines) != 2 {
-		t.Fatalf("logged %d request lines, want 2:\n%s", len(lines), logBuf.String())
+		t.Fatalf("logged %d request lines, want 2:\n%s", len(lines), logBuf)
 	}
+	// The lines land in completion order, not request order.
 	good, bad := lines[0], lines[1]
+	if good.Status == http.StatusBadRequest {
+		good, bad = bad, good
+	}
 	if good.Endpoint != "POST /v2/select" || good.Status != http.StatusOK || good.RequestID == "" {
 		t.Fatalf("good request line = %+v", good)
 	}

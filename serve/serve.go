@@ -52,6 +52,7 @@ import (
 	fam "github.com/regretlab/fam"
 	"github.com/regretlab/fam/internal/load"
 	"github.com/regretlab/fam/internal/obs"
+	"github.com/regretlab/fam/internal/prom"
 )
 
 // QueryRequest is the JSON shape of one semantic query: the v2 batch
@@ -572,7 +573,7 @@ type Handler struct {
 
 	// metrics backs GET /metrics: per-endpoint request counters and
 	// latency histograms (see metrics.go for the full series list).
-	metrics *httpMetrics
+	metrics prom.Requests
 
 	// shed backs /healthz's windowed shed rate: per-second buckets of
 	// query requests and their 429 answers (see health.go).
@@ -594,7 +595,7 @@ func NewHandlerConfig(e *fam.Engine, cfg HandlerConfig) *Handler {
 	if cfg.MaxBatchQueries <= 0 {
 		cfg.MaxBatchQueries = DefaultMaxBatchQueries
 	}
-	h := &Handler{engine: e, cfg: cfg, mux: http.NewServeMux(), metrics: newHTTPMetrics()}
+	h := &Handler{engine: e, cfg: cfg, mux: http.NewServeMux()}
 	h.clock = cfg.Clock
 	if h.clock == nil {
 		h.clock = time.Now
@@ -648,7 +649,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	reqID := fmt.Sprintf("%s-%06d", h.runID, h.reqSeq.Add(1))
 	ctx := withRequestID(r.Context(), reqID)
 
-	traceID, remoteSpan, clientArmed := traceHeaders(r)
+	traceID, remoteSpan, clientArmed := obs.Inbound(r.Header.Get(HeaderTraceparent), r.Header.Get(HeaderTrace))
 	query := isQueryPattern(pattern)
 	sampled := false
 	if query && h.traceLog != nil && h.cfg.TraceSample > 0 {
@@ -668,17 +669,13 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderTraceparent, obs.FormatTraceparent(col.TraceID(), root.SpanID))
 	}
 
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	start := h.clock()
-	h.mux.ServeHTTP(rec, r.WithContext(ctx))
-	dur := h.clock().Sub(start)
-	h.metrics.record(pattern, rec.status, dur.Seconds())
+	status, start, dur := h.metrics.Serve(pattern, h.clock, h.mux, w, r.WithContext(ctx))
 	if query {
-		h.shed.note(h.clock(), rec.status == http.StatusTooManyRequests)
+		h.shed.note(h.clock(), status == http.StatusTooManyRequests)
 	}
 
 	if root != nil {
-		root.SetAttrInt("status", rec.status)
+		root.SetAttrInt("status", status)
 		root.End()
 		h.traceSpans.Add(uint64(col.SpanCount()))
 		slow := query && h.cfg.SlowQuery > 0 && dur >= h.cfg.SlowQuery
@@ -691,7 +688,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				TraceID:   col.TraceID(),
 				RequestID: reqID,
 				Endpoint:  pattern,
-				Status:    rec.status,
+				Status:    status,
 				DurMS:     float64(dur) / 1e6,
 				Slow:      slow,
 				Sampled:   sampled,
@@ -704,7 +701,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.String("request_id", reqID),
 			slog.String("trace_id", col.TraceID()),
 			slog.String("endpoint", pattern),
-			slog.Int("status", rec.status),
+			slog.Int("status", status),
 			slog.Float64("dur_ms", float64(dur)/1e6))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"net/http"
 	"sync"
 	"time"
 
@@ -33,25 +32,6 @@ func withRequestID(ctx context.Context, id string) context.Context {
 func requestIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(reqIDKey{}).(string)
 	return id
-}
-
-// traceHeaders reads the client's tracing intent from the request.
-// X-Fam-Trace wins the trace ID when both headers carry one; a
-// malformed traceparent is ignored rather than failing the request —
-// tracing must never break serving.
-func traceHeaders(r *http.Request) (traceID, remoteSpan string, armed bool) {
-	if v := r.Header.Get(HeaderTraceparent); v != "" {
-		if t, s, ok := obs.ParseTraceparent(v); ok {
-			traceID, remoteSpan, armed = t, s, true
-		}
-	}
-	if v := r.Header.Get(HeaderTrace); v != "" {
-		armed = true
-		if obs.ValidTraceID(v) {
-			traceID = v
-		}
-	}
-	return traceID, remoteSpan, armed
 }
 
 // isQueryPattern reports whether the route runs engine queries — the
